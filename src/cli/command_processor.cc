@@ -1,8 +1,12 @@
 #include "cli/command_processor.h"
 
+#include <algorithm>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <sstream>
 
+#include "common/env.h"
 #include "common/file_util.h"
 #include "common/metrics.h"
 #include "common/string_util.h"
@@ -17,6 +21,27 @@ namespace orpheus::cli {
 using core::Cvd;
 using core::VersionId;
 using minidb::Table;
+
+/// One open session of the `session` family, served in-process or by an
+/// orpheusd server. Checkouts hand back a copy for the CLI staging area and
+/// commits ship a staging table, so callers never branch on the transport.
+class CliSession {
+ public:
+  virtual ~CliSession() = default;
+  /// Materialize `vids` and return a copy for the caller's staging area.
+  virtual Result<Table> Checkout(const std::vector<VersionId>& vids,
+                                 const std::string& table_name) = 0;
+  /// Commit `table` against the provenance recorded at its checkout.
+  virtual Result<session::CommitOutcome> Commit(const Table& table,
+                                                const std::string& message,
+                                                const std::string& author) = 0;
+  /// Re-pin to the durable watermark; returns it.
+  virtual Result<VersionId> Refresh() = 0;
+  /// Renew the lease; returns its term in ms, or 0 when the session has
+  /// no lease (in-process).
+  virtual Result<int64_t> Heartbeat() = 0;
+  virtual Status Close() = 0;
+};
 
 namespace {
 
@@ -57,20 +82,110 @@ Result<std::vector<std::string>> Tokenize(const std::string& line) {
   return out;
 }
 
+// A strictly parsed id in [1, INT32_MAX]. Version and session ids are
+// int32, so a wider value is refused rather than truncated.
+std::optional<int32_t> ParseId(std::string_view text) {
+  const std::optional<int64_t> v = ParseIntStrict(text);
+  if (!v || *v < 1 || *v > std::numeric_limits<int32_t>::max()) {
+    return std::nullopt;
+  }
+  return static_cast<int32_t>(*v);
+}
+
 Result<std::vector<VersionId>> ParseVersionList(const std::string& spec) {
   std::vector<VersionId> vids;
   for (const auto& part : Split(spec, ',')) {
-    char* end = nullptr;
-    long v = std::strtol(part.c_str(), &end, 10);
-    if (end != part.c_str() + part.size() || v <= 0) {
+    const std::optional<int32_t> v = ParseId(part);
+    if (!v) {
       return Status::InvalidArgument(
           StrFormat("bad version id '%s'", part.c_str()));
     }
-    vids.push_back(static_cast<VersionId>(v));
+    vids.push_back(*v);
   }
   if (vids.empty()) return Status::InvalidArgument("no versions given");
   return vids;
 }
+
+// The one rendering of a session commit, whichever transport served it.
+std::string RenderCommitOutcome(int sid, const std::string& table,
+                                const std::string& cvd,
+                                const session::CommitOutcome& outcome) {
+  std::string out =
+      StrFormat("session %d committed table %s as version %d of CVD %s", sid,
+                table.c_str(), outcome.vid, cvd.c_str());
+  if (outcome.reconciled) {
+    out += StrFormat("\nreconciled with concurrent version %d into merge "
+                     "version %d",
+                     outcome.reconciled_with, outcome.merged_vid);
+  } else if (!outcome.conflicts.empty()) {
+    out += StrFormat("\nCONFLICT with concurrent version %d: %zu attribute "
+                     "conflict(s); v%d left as a divergent branch",
+                     outcome.reconciled_with, outcome.conflicts.size(),
+                     outcome.vid);
+    for (const session::MergeConflict& c : outcome.conflicts) {
+      out += StrFormat("\n  key=%s attribute=%s base=%s ours=%s theirs=%s",
+                       c.key.c_str(), c.attribute.c_str(), c.base.c_str(),
+                       c.ours.c_str(), c.theirs.c_str());
+    }
+  }
+  return out;
+}
+
+// Serves a session from this process's SessionManager the way
+// SessionServer::HandleCheckout/HandleCommit serve a remote one: checkouts
+// hand back a copy and commits restage the shipped table first.
+class LocalSession final : public CliSession {
+ public:
+  explicit LocalSession(std::unique_ptr<session::Session> session)
+      : session_(std::move(session)) {}
+
+  Result<Table> Checkout(const std::vector<VersionId>& vids,
+                         const std::string& table_name) override {
+    ORPHEUS_RETURN_NOT_OK(session_->Checkout(vids, table_name));
+    return session_->table(table_name)->Clone(table_name);
+  }
+  Result<session::CommitOutcome> Commit(const Table& table,
+                                        const std::string& message,
+                                        const std::string& author) override {
+    ORPHEUS_RETURN_NOT_OK(
+        session_->ReplaceStaging(table.name(), table.Clone(table.name())));
+    return session_->Commit(table.name(), message, author);
+  }
+  Result<VersionId> Refresh() override {
+    ORPHEUS_RETURN_NOT_OK(session_->Refresh());
+    return session_->watermark();
+  }
+  Result<int64_t> Heartbeat() override { return int64_t{0}; }
+  Status Close() override { return Status::OK(); }
+
+ private:
+  std::unique_ptr<session::Session> session_;
+};
+
+// Serves a session from an orpheusd server: the client plus the server's
+// session id.
+class RemoteSession final : public CliSession {
+ public:
+  RemoteSession(net::Client* client, uint64_t sid)
+      : client_(client), sid_(sid) {}
+
+  Result<Table> Checkout(const std::vector<VersionId>& vids,
+                         const std::string& table_name) override {
+    return client_->Checkout(sid_, vids, table_name);
+  }
+  Result<session::CommitOutcome> Commit(const Table& table,
+                                        const std::string& message,
+                                        const std::string& author) override {
+    return client_->Commit(sid_, table, message, author);
+  }
+  Result<VersionId> Refresh() override { return client_->Refresh(sid_); }
+  Result<int64_t> Heartbeat() override { return client_->Heartbeat(sid_); }
+  Status Close() override { return client_->CloseSession(sid_); }
+
+ private:
+  net::Client* client_;  // the processor's connection; outlives the session
+  uint64_t sid_;
+};
 
 std::string RenderTable(const Table& t, size_t max_rows = 20) {
   std::ostringstream os;
@@ -93,6 +208,9 @@ std::string RenderTable(const Table& t, size_t max_rows = 20) {
 }
 
 }  // namespace
+
+CommandProcessor::CommandProcessor() = default;
+CommandProcessor::~CommandProcessor() = default;
 
 Result<CommandProcessor::Args> CommandProcessor::ParseArgs(
     const std::string& line) {
@@ -122,36 +240,18 @@ Result<Cvd*> CommandProcessor::FindCvd(const std::string& name) {
     if (managers_.count(name) != 0) {
       return Status::InvalidArgument(StrFormat(
           "CVD %s is open for concurrent use; drive it with the session "
-          "commands or run `session close %s` first",
-          name.c_str(), name.c_str()));
+          "commands or close its sessions first",
+          name.c_str()));
     }
     return Status::NotFound(StrFormat("no CVD named %s", name.c_str()));
   }
   return it->second.get();
 }
 
-Result<session::SessionManager*> CommandProcessor::FindManager(
-    const std::string& cvd) {
-  auto it = managers_.find(cvd);
-  if (it == managers_.end()) {
-    return Status::NotFound(StrFormat(
-        "CVD %s is not session-managed (run `session open %s` first)",
-        cvd.c_str(), cvd.c_str()));
-  }
-  return it->second.get();
-}
-
-Result<session::Session*> CommandProcessor::FindSession(const std::string& cvd,
-                                                        int sid) {
-  ORPHEUS_RETURN_NOT_OK(FindManager(cvd).status());
-  auto& open = sessions_[cvd];
-  auto it = open.find(sid);
-  if (it == open.end()) {
-    return Status::NotFound(StrFormat(
-        "no open session %d on CVD %s (run `session new %s`)", sid,
-        cvd.c_str(), cvd.c_str()));
-  }
-  return it->second.get();
+Status CommandProcessor::RefuseWhileSessionsOpen(const char* action) const {
+  if (managers_.empty()) return Status::OK();
+  return Status::InvalidArgument(StrFormat(
+      "in-process sessions are open; close them before %s", action));
 }
 
 Result<Cvd*> CommandProcessor::CvdOfStagingTable(const std::string& table) {
@@ -213,7 +313,6 @@ Result<std::string> CommandProcessor::Execute(const std::string& line) {
   if (cmd == "optimize") return Optimize(args);
   if (cmd == "fsck") return Fsck(args);
   if (cmd == "session") return SessionCmd(args);
-  if (cmd == "remote") return RemoteCmd(args);
   if (cmd == "stats") return Stats(args);
   if (cmd == "trace") return Trace(args);
   if (cmd == "tables") {
@@ -429,14 +528,7 @@ Result<std::string> CommandProcessor::Drop(const Args& args) {
     return Status::InvalidArgument("usage: drop <cvd>");
   }
   const std::string& name = args.positional[0];
-  if (cvds_.count(name) == 0) {
-    if (managers_.count(name) != 0) {
-      return Status::InvalidArgument(StrFormat(
-          "CVD %s is open for concurrent use; run `session close %s` first",
-          name.c_str(), name.c_str()));
-    }
-    return Status::NotFound(StrFormat("no CVD named %s", name.c_str()));
-  }
+  ORPHEUS_RETURN_NOT_OK(FindCvd(name).status());
   // Log before applying: if the drop record cannot be made durable, the
   // CVD stays (memory and disk agree either way).
   if (repo_ != nullptr) ORPHEUS_RETURN_NOT_OK(repo_->LogDrop(name));
@@ -504,16 +596,24 @@ Result<std::string> CommandProcessor::Optimize(const Args& args) {
   if (!cvd.ok()) return cvd.status();
   double factor = 2.0;
   if (const std::string* g = args.Flag("g")) {
-    factor = std::strtod(g->c_str(), nullptr);
-    if (factor < 1.0) return Status::InvalidArgument("-g must be >= 1");
+    const std::optional<double> parsed = ParseDoubleStrict(*g);
+    if (!parsed || *parsed < 1.0) {
+      return Status::InvalidArgument(
+          StrFormat("-g must be a number >= 1; got '%s'", g->c_str()));
+    }
+    factor = *parsed;
   }
   const auto& graph = (*cvd)->graph();
   // |R| estimate: records in the whole CVD (single partition union).
   auto single = core::ComputeTreeEstimatedCosts(
       graph, graph.ToTree(),
       core::Partitioning::SinglePartition(graph.num_versions()));
-  uint64_t gamma = static_cast<uint64_t>(
-      factor * static_cast<double>(single.storage));
+  // Saturate: a budget past 2^64 records (say `-g 1e300`) is unbounded,
+  // and casting it to uint64_t would be undefined.
+  const double budget = factor * static_cast<double>(single.storage);
+  const uint64_t gamma =
+      budget >= 0x1p64 ? std::numeric_limits<uint64_t>::max()
+                       : static_cast<uint64_t>(budget);
   auto plan = core::LyreSplitForBudget(graph, gamma);
   return StrFormat(
       "LyreSplit plan: %d partitions (delta=%.3f), estimated storage %llu "
@@ -599,223 +699,130 @@ Result<std::string> CommandProcessor::Fsck(const Args& args) {
 }
 
 Result<std::string> CommandProcessor::SessionCmd(const Args& args) {
-  if (args.positional.empty()) {
-    return Status::InvalidArgument(
-        "usage: session open|new|checkout|commit|refresh|ls|close ...");
-  }
-  const std::string sub = ToLower(args.positional[0]);
+  const std::string sub =
+      args.positional.empty() ? "" : ToLower(args.positional[0]);
+  const std::string* arg =
+      args.positional.size() > 1 ? &args.positional[1] : nullptr;
 
-  if (sub == "ls") {
-    if (managers_.empty()) return std::string("no session-managed CVDs\n");
-    std::string out;
-    for (const auto& [name, manager] : managers_) {
-      out += StrFormat("%s  (watermark v%d, %zu open session(s)%s)\n",
-                       name.c_str(), manager->watermark(),
-                       sessions_[name].size(),
-                       manager->failed() ? ", POISONED" : "");
-    }
-    return out;
-  }
-  if (args.positional.size() < 2) {
-    return Status::InvalidArgument(
-        StrFormat("usage: session %s <cvd> ...", sub.c_str()));
-  }
-  const std::string& name = args.positional[1];
-
-  if (sub == "open") {
-    if (managers_.count(name) != 0) {
-      return Status::AlreadyExists(
-          StrFormat("CVD %s is already session-managed", name.c_str()));
-    }
-    auto it = cvds_.find(name);
-    if (it == cvds_.end()) {
-      return Status::NotFound(StrFormat("no CVD named %s", name.c_str()));
-    }
-    if (!it->second->StagedTables().empty()) {
+  if (sub == "connect" || sub == "disconnect") {
+    if (!sessions_.empty()) {
       return Status::InvalidArgument(StrFormat(
-          "CVD %s has staged checkouts; commit or drop them before "
-          "`session open`",
-          name.c_str()));
+          "%zu session(s) open; close them before switching transports",
+          sessions_.size()));
     }
-    auto manager = std::make_unique<session::SessionManager>(
-        std::move(it->second), repo_.get());
-    cvds_.erase(it);
-    core::VersionId watermark = manager->watermark();
-    managers_[name] = std::move(manager);
-    return StrFormat(
-        "CVD %s is now session-managed (watermark v%d); use `session new "
-        "%s` to open sessions",
-        name.c_str(), watermark, name.c_str());
-  }
-  if (sub == "close") {
-    auto manager = FindManager(name);
-    if (!manager.ok()) return manager.status();
-    size_t released = sessions_[name].size();
-    sessions_.erase(name);  // sessions first: they point into the manager
-    auto cvd = (*manager)->Release();
-    managers_.erase(name);
-    WireCommitObserver(cvd.get());
-    cvds_[name] = std::move(cvd);
-    return StrFormat("CVD %s released from session management "
-                     "(%zu session(s) closed)",
-                     name.c_str(), released);
-  }
-  if (sub == "new") {
-    auto manager = FindManager(name);
-    if (!manager.ok()) return manager.status();
-    auto session = (*manager)->Open();
-    int sid = session->id();
-    core::VersionId watermark = session->watermark();
-    sessions_[name][sid] = std::move(session);
-    return StrFormat("opened session %d on CVD %s (snapshot watermark v%d)",
-                     sid, name.c_str(), watermark);
-  }
-
-  // The remaining subcommands address one session: session <sub> <cvd> <sid>.
-  if (args.positional.size() < 3) {
-    return Status::InvalidArgument(
-        StrFormat("usage: session %s <cvd> <sid> ...", sub.c_str()));
-  }
-  char* end = nullptr;
-  const std::string& sid_spec = args.positional[2];
-  long sid = std::strtol(sid_spec.c_str(), &end, 10);
-  if (end != sid_spec.c_str() + sid_spec.size() || sid <= 0) {
-    return Status::InvalidArgument(
-        StrFormat("bad session id '%s'", sid_spec.c_str()));
-  }
-  auto session = FindSession(name, static_cast<int>(sid));
-  if (!session.ok()) return session.status();
-
-  if (sub == "checkout") {
-    const std::string* vspec = args.Flag("v");
-    const std::string* table = args.Flag("t");
-    if (vspec == nullptr || table == nullptr) {
+    if (sub == "disconnect") {
+      remote_.reset();
+      return std::string("disconnected; sessions are served in-process");
+    }
+    if (arg == nullptr) {
       return Status::InvalidArgument(
-          "usage: session checkout <cvd> <sid> -v <vids> -t <table>");
+          "usage: session connect <unix:<path> | tcp:[host:]<port>>");
     }
-    auto vids = ParseVersionList(*vspec);
-    if (!vids.ok()) return vids.status();
-    ORPHEUS_RETURN_NOT_OK((*session)->Checkout(*vids, *table));
-    return StrFormat("session %ld checked out version(s) %s into table %s",
-                     sid, vspec->c_str(), table->c_str());
-  }
-  if (sub == "commit") {
-    const std::string* table = args.Flag("t");
-    if (table == nullptr) {
-      return Status::InvalidArgument(
-          "usage: session commit <cvd> <sid> -t <table> -m \"<msg>\"");
-    }
-    const std::string* msg = args.Flag("m");
-    auto outcome = (*session)->Commit(*table, msg ? *msg : "",
-                                      access_.current_user());
-    if (!outcome.ok()) return outcome.status();
-    std::string out = StrFormat("session %ld committed table %s as version "
-                                "%d of CVD %s",
-                                sid, table->c_str(), outcome->vid,
-                                name.c_str());
-    if (outcome->reconciled) {
-      out += StrFormat("\nreconciled with concurrent version %d into merge "
-                       "version %d",
-                       outcome->reconciled_with, outcome->merged_vid);
-    } else if (!outcome->conflicts.empty()) {
-      out += StrFormat("\nCONFLICT with concurrent version %d: %zu attribute "
-                       "conflict(s); v%d left as a divergent branch",
-                       outcome->reconciled_with, outcome->conflicts.size(),
-                       outcome->vid);
-      for (const session::MergeConflict& c : outcome->conflicts) {
-        out += StrFormat("\n  key=%s attribute=%s base=%s ours=%s theirs=%s",
-                         c.key.c_str(), c.attribute.c_str(), c.base.c_str(),
-                         c.ours.c_str(), c.theirs.c_str());
-      }
-    }
-    return out;
-  }
-  if (sub == "refresh") {
-    ORPHEUS_RETURN_NOT_OK((*session)->Refresh());
-    return StrFormat("session %ld now at watermark v%d", sid,
-                     (*session)->watermark());
-  }
-  return Status::InvalidArgument(StrFormat(
-      "unknown session subcommand '%s' (want "
-      "open|new|checkout|commit|refresh|ls|close)",
-      sub.c_str()));
-}
-
-Result<std::string> CommandProcessor::RemoteCmd(const Args& args) {
-  if (args.positional.empty()) {
-    return Status::InvalidArgument(
-        "usage: remote connect|open|checkout|commit|refresh|heartbeat|ls|"
-        "close|disconnect ...");
-  }
-  const std::string sub = ToLower(args.positional[0]);
-
-  if (sub == "connect") {
-    if (args.positional.size() < 2) {
-      return Status::InvalidArgument(
-          "usage: remote connect <unix:<path> | tcp:[host:]<port>>");
-    }
-    ORPHEUS_ASSIGN_OR_RETURN(remote_,
-                             net::Client::Connect(args.positional[1]));
-    return StrFormat("connected to %s as %s%s", args.positional[1].c_str(),
+    ORPHEUS_ASSIGN_OR_RETURN(remote_, net::Client::Connect(*arg));
+    return StrFormat("connected to %s as %s%s", arg->c_str(),
                      remote_->client_uuid().c_str(),
                      remote_->server_degraded()
                          ? " (server DEGRADED: read-only)"
                          : "");
   }
-  if (remote_ == nullptr) {
-    return Status::InvalidArgument(
-        "not connected; run `remote connect <address>` first");
-  }
-  if (sub == "disconnect") {
-    remote_.reset();
-    return std::string("disconnected");
-  }
   if (sub == "ls") {
-    ORPHEUS_ASSIGN_OR_RETURN(std::vector<net::CvdSummary> cvds,
-                             remote_->Ls());
-    if (cvds.empty()) return std::string("server has no CVDs\n");
+    std::vector<net::CvdSummary> cvds;
+    if (remote_ != nullptr) {
+      ORPHEUS_ASSIGN_OR_RETURN(cvds, remote_->Ls());
+    } else {
+      // What a server holding this processor's CVDs would list.
+      const bool degraded = repo_ != nullptr && repo_->degraded();
+      std::map<std::string, net::CvdSummary> local;
+      for (const auto& [name, cvd] : cvds_) {
+        local[name] = net::CvdSummary{name, cvd->num_versions(),
+                                      cvd->num_versions(), 0, degraded};
+      }
+      for (const auto& [name, manager] : managers_) {
+        net::CvdSummary& c = local[name] = net::CvdSummary{
+            name, 0, manager->watermark(), 0, degraded || manager->failed()};
+        ORPHEUS_IGNORE_ERROR(manager->ReadCvd([&c](const Cvd& cvd) {
+          c.num_versions = cvd.num_versions();
+          return Status::OK();
+        }));
+      }
+      for (const auto& entry : sessions_) {
+        ++local[entry.second.cvd].open_sessions;
+      }
+      for (auto& entry : local) cvds.push_back(std::move(entry.second));
+    }
+    if (cvds.empty()) return std::string("no CVDs\n");
     std::string out;
     for (const net::CvdSummary& c : cvds) {
       out += StrFormat("%s  (%d version(s), watermark v%d, %d open "
                        "session(s)%s)\n",
                        c.name.c_str(), c.num_versions, c.watermark,
-                       c.open_sessions,
-                       c.failed ? ", COMMITS REFUSED" : "");
+                       c.open_sessions, c.failed ? ", COMMITS REFUSED" : "");
     }
     return out;
   }
   if (sub == "open") {
-    if (args.positional.size() < 2) {
-      return Status::InvalidArgument("usage: remote open <cvd>");
+    if (arg == nullptr) {
+      return Status::InvalidArgument("usage: session open <cvd>");
     }
-    ORPHEUS_ASSIGN_OR_RETURN(net::Client::OpenResult opened,
-                             remote_->Open(args.positional[1]));
-    return StrFormat(
-        "opened remote session %llu on CVD %s (snapshot watermark v%d)",
-        static_cast<unsigned long long>(opened.sid),
-        args.positional[1].c_str(), opened.watermark);
+    std::unique_ptr<CliSession> opened;
+    VersionId watermark = core::kInvalidVersion;
+    if (remote_ != nullptr) {
+      ORPHEUS_ASSIGN_OR_RETURN(net::Client::OpenResult remote,
+                               remote_->Open(*arg));
+      opened = std::make_unique<RemoteSession>(remote_.get(), remote.sid);
+      watermark = remote.watermark;
+    } else {
+      // The first in-process session on a CVD hands it to a SessionManager.
+      if (managers_.count(*arg) == 0) {
+        ORPHEUS_ASSIGN_OR_RETURN(Cvd * cvd, FindCvd(*arg));
+        if (!cvd->StagedTables().empty()) {
+          return Status::InvalidArgument(StrFormat(
+              "CVD %s has staged checkouts; commit them before `session "
+              "open`",
+              arg->c_str()));
+        }
+        managers_[*arg] = std::make_unique<session::SessionManager>(
+            std::move(cvds_[*arg]), repo_.get());
+        cvds_.erase(*arg);
+      }
+      std::unique_ptr<session::Session> local = managers_[*arg]->Open();
+      watermark = local->watermark();
+      opened = std::make_unique<LocalSession>(std::move(local));
+    }
+    const int sid = next_session_id_++;
+    sessions_[sid] = OpenSession{*arg, std::move(opened), {}};
+    return StrFormat("opened session %d on CVD %s (snapshot watermark v%d)",
+                     sid, arg->c_str(), watermark);
   }
 
-  // The remaining subcommands address one remote session by sid.
-  if (args.positional.size() < 2) {
-    return Status::InvalidArgument(
-        StrFormat("usage: remote %s <sid> ...", sub.c_str()));
+  // The remaining subcommands address one session: session <sub> <sid> ...
+  if (sub != "checkout" && sub != "commit" && sub != "refresh" &&
+      sub != "heartbeat" && sub != "close") {
+    return Status::InvalidArgument(StrFormat(
+        "unknown session subcommand '%s' (want connect|disconnect|open|"
+        "checkout|commit|refresh|heartbeat|close|ls)",
+        sub.c_str()));
   }
-  char* end = nullptr;
-  const std::string& sid_spec = args.positional[1];
-  const unsigned long long sid =
-      std::strtoull(sid_spec.c_str(), &end, 10);
-  if (end != sid_spec.c_str() + sid_spec.size() || sid == 0) {
+  const std::optional<int32_t> sid =
+      arg == nullptr ? std::nullopt : ParseId(*arg);
+  if (!sid) {
     return Status::InvalidArgument(
-        StrFormat("bad remote session id '%s'", sid_spec.c_str()));
+        StrFormat("bad session id '%s' (usage: session %s <sid> ...)",
+                  arg == nullptr ? "" : arg->c_str(), sub.c_str()));
   }
+  auto it = sessions_.find(*sid);
+  if (it == sessions_.end()) {
+    return Status::NotFound(StrFormat(
+        "no open session %d (run `session open <cvd>`)", *sid));
+  }
+  CliSession* session = it->second.session.get();
 
   if (sub == "checkout") {
     const std::string* vspec = args.Flag("v");
     const std::string* table = args.Flag("t");
     if (vspec == nullptr || table == nullptr) {
       return Status::InvalidArgument(
-          "usage: remote checkout <sid> -v <vids> -t <table>");
+          "usage: session checkout <sid> -v <vids> -t <table>");
     }
     auto vids = ParseVersionList(*vspec);
     if (!vids.ok()) return vids.status();
@@ -823,66 +830,66 @@ Result<std::string> CommandProcessor::RemoteCmd(const Args& args) {
       return Status::AlreadyExists(
           StrFormat("staging table %s already exists", table->c_str()));
     }
-    ORPHEUS_ASSIGN_OR_RETURN(minidb::Table fetched,
-                             remote_->Checkout(sid, *vids, *table));
+    ORPHEUS_ASSIGN_OR_RETURN(Table fetched, session->Checkout(*vids, *table));
     const size_t rows = fetched.num_rows();
-    ORPHEUS_RETURN_NOT_OK(
-        staging_.AdoptTable(std::move(fetched)).status());
+    ORPHEUS_RETURN_NOT_OK(staging_.AdoptTable(std::move(fetched)).status());
+    it->second.tables.insert(*table);
     return StrFormat(
-        "remote session %llu checked out version(s) %s into table %s "
-        "(%zu record(s))",
-        sid, vspec->c_str(), table->c_str(), rows);
+        "session %d checked out version(s) %s into table %s (%zu record(s))",
+        *sid, vspec->c_str(), table->c_str(), rows);
   }
   if (sub == "commit") {
     const std::string* table = args.Flag("t");
     if (table == nullptr) {
       return Status::InvalidArgument(
-          "usage: remote commit <sid> -t <table> -m \"<msg>\"");
+          "usage: session commit <sid> -t <table> -m \"<msg>\"");
     }
-    const minidb::Table* staged = staging_.GetTable(*table);
+    const Table* staged = staging_.GetTable(*table);
     if (staged == nullptr) {
       return Status::NotFound(
           StrFormat("no staging table named %s", table->c_str()));
     }
     const std::string* msg = args.Flag("m");
-    auto outcome = remote_->Commit(sid, *staged, msg ? *msg : "",
-                                   access_.current_user());
-    if (!outcome.ok()) return outcome.status();
+    ORPHEUS_ASSIGN_OR_RETURN(
+        session::CommitOutcome outcome,
+        session->Commit(*staged, msg ? *msg : "", access_.current_user()));
     ORPHEUS_RETURN_NOT_OK(staging_.DropTable(*table));
-    std::string out = StrFormat(
-        "remote session %llu committed table %s as version %d", sid,
-        table->c_str(), outcome->vid);
-    if (outcome->reconciled) {
-      out += StrFormat("\nreconciled with concurrent version %d into merge "
-                       "version %d",
-                       outcome->reconciled_with, outcome->merged_vid);
-    } else if (!outcome->conflicts.empty()) {
-      out += StrFormat("\nCONFLICT with concurrent version %d: %zu attribute "
-                       "conflict(s); v%d left as a divergent branch",
-                       outcome->reconciled_with, outcome->conflicts.size(),
-                       outcome->vid);
-    }
-    return out;
+    it->second.tables.erase(*table);
+    return RenderCommitOutcome(*sid, *table, it->second.cvd, outcome);
   }
   if (sub == "refresh") {
-    ORPHEUS_ASSIGN_OR_RETURN(core::VersionId watermark,
-                             remote_->Refresh(sid));
-    return StrFormat("remote session %llu now at watermark v%d", sid,
-                     watermark);
+    ORPHEUS_ASSIGN_OR_RETURN(VersionId watermark, session->Refresh());
+    return StrFormat("session %d now at watermark v%d", *sid, watermark);
   }
   if (sub == "heartbeat") {
-    ORPHEUS_ASSIGN_OR_RETURN(int64_t lease, remote_->Heartbeat(sid));
-    return StrFormat("remote session %llu lease renewed (%lld ms)", sid,
-                     static_cast<long long>(lease));
+    ORPHEUS_ASSIGN_OR_RETURN(int64_t lease, session->Heartbeat());
+    return lease == 0 ? StrFormat("session %d is served in-process; "
+                                  "in-process sessions have no lease",
+                                  *sid)
+                      : StrFormat("session %d lease renewed (%lld ms)", *sid,
+                                  static_cast<long long>(lease));
   }
-  if (sub == "close") {
-    ORPHEUS_RETURN_NOT_OK(remote_->CloseSession(sid));
-    return StrFormat("remote session %llu closed", sid);
+  // close: drop the session's uncommitted staging tables and forget it
+  // even if the server could not be told (its lease expires it); hand an
+  // in-process CVD back to single-user control once its last session is
+  // gone.
+  Status closed = session->Close();
+  for (const std::string& table : it->second.tables) {
+    ORPHEUS_IGNORE_ERROR(staging_.DropTable(table));
   }
-  return Status::InvalidArgument(StrFormat(
-      "unknown remote subcommand '%s' (want "
-      "connect|open|checkout|commit|refresh|heartbeat|ls|close|disconnect)",
-      sub.c_str()));
+  const std::string cvd = it->second.cvd;
+  sessions_.erase(it);
+  auto managed = managers_.find(cvd);
+  if (managed != managers_.end() &&
+      std::none_of(sessions_.begin(), sessions_.end(),
+                   [&cvd](const auto& e) { return e.second.cvd == cvd; })) {
+    std::unique_ptr<Cvd> released = managed->second->Release();
+    managers_.erase(managed);
+    WireCommitObserver(released.get());
+    cvds_[cvd] = std::move(released);
+  }
+  ORPHEUS_RETURN_NOT_OK(closed);
+  return StrFormat("closed session %d", *sid);
 }
 
 Result<std::string> CommandProcessor::Stats(const Args& args) {
@@ -1017,11 +1024,7 @@ Result<std::string> CommandProcessor::OpenRepository(const Args& args) {
         "a repository is already open at %s (close it first)",
         repo_->dir().c_str()));
   }
-  if (!managers_.empty()) {
-    return Status::InvalidArgument(
-        "session-managed CVDs exist; run `session close` on each before "
-        "opening a repository");
-  }
+  ORPHEUS_RETURN_NOT_OK(RefuseWhileSessionsOpen("opening a repository"));
   auto repo = storage::Repository::Open(args.positional[0]);
   if (!repo.ok()) return repo.status();
   auto recovered = (*repo)->TakeCvds();
@@ -1066,14 +1069,10 @@ Result<std::string> CommandProcessor::CheckpointRepository() {
   if (repo_ == nullptr) {
     return Status::InvalidArgument("no repository open (use: open <dir>)");
   }
-  if (!managers_.empty()) {
-    // A checkpoint folds the passed-in CVDs into the new snapshot;
-    // session-managed ones live inside their managers, so checkpointing
-    // without them would silently drop their history.
-    return Status::InvalidArgument(
-        "session-managed CVDs exist; run `session close` on each before "
-        "checkpointing");
-  }
+  // A checkpoint folds the passed-in CVDs into the new snapshot;
+  // session-managed ones live inside their managers, so checkpointing
+  // without them would silently drop their history.
+  ORPHEUS_RETURN_NOT_OK(RefuseWhileSessionsOpen("checkpointing"));
   ORPHEUS_RETURN_NOT_OK(repo_->Checkpoint(CvdPointers()));
   return StrFormat("checkpoint %llu written to %s",
                    static_cast<unsigned long long>(repo_->stats().seq),
@@ -1084,11 +1083,7 @@ Result<std::string> CommandProcessor::CloseRepository() {
   if (repo_ == nullptr) {
     return Status::InvalidArgument("no repository open (use: open <dir>)");
   }
-  if (!managers_.empty()) {
-    return Status::InvalidArgument(
-        "session-managed CVDs exist; run `session close` on each before "
-        "closing the repository");
-  }
+  ORPHEUS_RETURN_NOT_OK(RefuseWhileSessionsOpen("closing the repository"));
   ORPHEUS_RETURN_NOT_OK(repo_->Close(CvdPointers()));
   std::string dir = repo_->dir();
   size_t released = cvds_.size();

@@ -3,6 +3,7 @@
 
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,10 @@
 #include "storage/repository.h"
 
 namespace orpheus::cli {
+
+/// One open session of the `session` family, served in-process or by an
+/// orpheusd server (defined in command_processor.cc).
+class CliSession;
 
 /// The OrpheusDB command client (Sec. 3.3): parses git-style version
 /// control commands and SQL, and executes them against an in-process
@@ -64,37 +69,30 @@ namespace orpheus::cli {
 ///                                   trace and render its per-stage tree
 ///                                   (count, total, self, p95)
 ///
-/// Multi-session commands (DESIGN.md §13) — `session open` hands a CVD to a
-/// SessionManager; plain checkout/commit on it are refused until
-/// `session close` hands it back:
-///   session open <cvd>              enable concurrent sessions on a CVD
-///   session new <cvd>               open a session (prints its id)
-///   session checkout <cvd> <sid> -v <vids> -t <table>
-///   session commit <cvd> <sid> -t <table> -m "<msg>"
+/// Session commands (DESIGN.md §13, §14), with ids assigned here — served
+/// in-process from this processor's CVDs, or by an orpheusd server after
+/// `session connect`, with the same output either way. Checkouts land in
+/// the staging area and commits ship a staging table. The first in-process
+/// `session open` on a CVD hands it to a SessionManager (plain
+/// checkout/commit/drop on it are refused) until its last session closes.
+///   session connect <address>       serve sessions from an orpheusd server
+///                                   (unix:<path> or tcp:[host:]<port>)
+///   session disconnect              serve sessions in-process again
+///   session open <cvd>              open a session (prints its id)
+///   session checkout <sid> -v <vids> -t <table>
+///   session commit <sid> -t <table> -m "<msg>"
 ///                                   optimistic commit: reconciles against a
 ///                                   concurrent tip, or reports the conflict
 ///                                   set
-///   session refresh <cvd> <sid>     re-pin to the durable watermark
-///   session ls                      list session-managed CVDs
-///   session close <cvd>             release the CVD back to the session
-///
-/// Remote commands (DESIGN.md §14) — drive an orpheusd server over the
-/// wire protocol (start one with `orpheusd serve <dir>`); calls retry
-/// transient faults with backoff and deduplicate commits server-side:
-///   remote connect <address>        connect (unix:<path> or tcp:<port>)
-///   remote open <cvd>               open a remote session (prints sid)
-///   remote checkout <sid> -v <vids> -t <table>
-///                                   materialize into the local staging area
-///   remote commit <sid> -t <table> -m "<msg>"
-///                                   ship the staging table and commit it
-///   remote refresh <sid>            re-pin the remote watermark
-///   remote heartbeat <sid>          renew the session lease
-///   remote ls                       list the server's CVDs
-///   remote close <sid>              close the remote session
-///   remote disconnect               drop the connection
+///   session refresh <sid>           re-pin to the durable watermark
+///   session heartbeat <sid>         renew a remote session's lease
+///   session close <sid>             close the session, dropping its
+///                                   uncommitted staging tables
+///   session ls                      list CVDs with watermark and sessions
 class CommandProcessor {
  public:
-  CommandProcessor() = default;
+  CommandProcessor();
+  ~CommandProcessor();
 
   /// Execute one command line; returns the text to display.
   Result<std::string> Execute(const std::string& line);
@@ -116,12 +114,6 @@ class CommandProcessor {
   }
   core::AccessController* access() { return &access_; }
   storage::Repository* repository() { return repo_.get(); }
-  session::Session* session(const std::string& cvd, int sid) {
-    auto it = sessions_.find(cvd);
-    if (it == sessions_.end()) return nullptr;
-    auto jt = it->second.find(sid);
-    return jt == it->second.end() ? nullptr : jt->second.get();
-  }
 
  private:
   struct Args {
@@ -147,7 +139,6 @@ class CommandProcessor {
   Result<std::string> Optimize(const Args& args);
   Result<std::string> Fsck(const Args& args);
   Result<std::string> SessionCmd(const Args& args);
-  Result<std::string> RemoteCmd(const Args& args);
   Result<std::string> Stats(const Args& args);
   Result<std::string> Trace(const Args& args);
   Result<std::string> Profile(const std::string& command);
@@ -165,10 +156,8 @@ class CommandProcessor {
   void WireCommitObserver(core::Cvd* cvd);
   std::vector<const core::Cvd*> CvdPointers() const;
 
-  /// The session manager owning `cvd`, or an error naming the command to
-  /// run first.
-  Result<session::SessionManager*> FindManager(const std::string& cvd);
-  Result<session::Session*> FindSession(const std::string& cvd, int sid);
+  /// InvalidArgument naming `action` while any CVD is session-managed.
+  Status RefuseWhileSessionsOpen(const char* action) const;
 
   void NoteExit(int code) {
     if (code > exit_code_) exit_code_ = code;
@@ -178,13 +167,20 @@ class CommandProcessor {
   std::map<std::string, std::unique_ptr<core::Cvd>> cvds_;
   std::unique_ptr<storage::Repository> repo_;
   core::AccessController access_;
-  // CVDs handed to the concurrent session layer (`session open`), plus the
-  // interactive sessions opened on each, keyed by session id.
+  // CVDs handed to the concurrent session layer while in-process sessions
+  // are open on them.
   std::map<std::string, std::unique_ptr<session::SessionManager>> managers_;
-  std::map<std::string, std::map<int, std::unique_ptr<session::Session>>>
-      sessions_;
-  // Remote-mode client (`remote connect`); null until connected.
+  // The orpheusd connection (`session connect`); null = in-process.
   std::unique_ptr<net::Client> remote_;
+  // Open sessions by CLI-assigned id. Declared after managers_ and remote_,
+  // which they point into, so they are destroyed first.
+  struct OpenSession {
+    std::string cvd;
+    std::unique_ptr<CliSession> session;
+    std::set<std::string> tables;  // checked out, not yet committed
+  };
+  std::map<int, OpenSession> sessions_;
+  int next_session_id_ = 1;
   int exit_code_ = 0;
   // CSV checkout provenance: file path -> (cvd name, parent versions).
   struct FileInfo {

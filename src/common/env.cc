@@ -1,6 +1,7 @@
 #include "common/env.h"
 
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <set>
 #include <string>
@@ -44,6 +45,20 @@ std::optional<int64_t> ParseIntStrict(std::string_view text) {
   const char* last = text.data() + text.size();
   auto [end, ec] = std::from_chars(first, last, value);
   if (ec != std::errc() || end != last) return std::nullopt;
+  return value;
+}
+
+std::optional<double> ParseDoubleStrict(std::string_view text) {
+  if (text.empty()) return std::nullopt;
+  const size_t begin = text[0] == '+' ? 1 : 0;
+  if (begin == text.size()) return std::nullopt;
+  double value = 0.0;
+  const char* first = text.data() + begin;
+  const char* last = text.data() + text.size();
+  auto [end, ec] = std::from_chars(first, last, value);
+  if (ec != std::errc() || end != last || !std::isfinite(value)) {
+    return std::nullopt;
+  }
   return value;
 }
 

@@ -18,6 +18,12 @@ namespace orpheus {
 /// or overflow.
 std::optional<int64_t> ParseIntStrict(std::string_view text);
 
+/// Strict full-string finite double parse with the same rules: locale-
+/// independent (std::from_chars, so "1.5" parses under any LC_NUMERIC), a
+/// single leading '+' allowed, and nan/inf refused so callers can do
+/// arithmetic and integer casts on the result. nullopt on failure.
+std::optional<double> ParseDoubleStrict(std::string_view text);
+
 /// Read env var `name` as an integer clamped to [min_value, max_value].
 /// Unset => `fallback` silently. Set but unparsable or out of range =>
 /// `fallback` with a warning to stderr (once per distinct variable).

@@ -152,14 +152,17 @@ class Cvd {
   // --- Durability hooks (src/storage/, DESIGN.md §10) ---
 
   /// Observer invoked with the full commit record after planning but
-  /// BEFORE the commit is applied in memory (log-before-apply). The
-  /// durable repository appends the record to its WAL here; a non-OK
-  /// return aborts the commit with no in-memory state change, so a failed
-  /// WAL append can never leave a checkoutable version that the log does
-  /// not know about. If the observer succeeds, the subsequent in-memory
-  /// apply is infallible short of an internal invariant bug; should it
-  /// fail anyway, the WAL is ahead of memory — the safe direction, since
-  /// reopening replays the logged commit.
+  /// BEFORE the commit is applied in memory; a non-OK return aborts the
+  /// commit with no in-memory state change. The CLI's observer logs the
+  /// record durably here (Repository::LogCommit waits out the fsync), so a
+  /// failed WAL append can never leave a checkoutable version that the log
+  /// does not know about. The session layer's observer only enqueues the
+  /// record and waits for durability after the apply, hiding the version
+  /// behind its watermark until then (DESIGN.md §13.3). If the observer
+  /// succeeds, the subsequent in-memory apply is infallible short of an
+  /// internal invariant bug; should it fail anyway, the WAL is ahead of
+  /// memory — the safe direction, since reopening replays the logged
+  /// commit.
   using CommitObserver = std::function<Status(const CvdCommitRecord&)>;
   void set_commit_observer(CommitObserver observer) {
     commit_observer_ = std::move(observer);

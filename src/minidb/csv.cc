@@ -1,7 +1,6 @@
 #include "minidb/csv.h"
 
 #include <cerrno>
-#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <optional>
@@ -99,23 +98,6 @@ Result<std::vector<std::string>> ParseRecord(const std::string& text,
 // it widens to double (or string).
 bool LooksLikeInt(const std::string& s) {
   return ParseIntStrict(s).has_value();
-}
-
-// Locale-independent double parse via std::from_chars: strtod honors
-// LC_NUMERIC, so under a de_DE locale "1.5" stops parsing at the '.' and a
-// double column silently degrades to string (or worse, "1,5" cells change
-// meaning). from_chars always uses the C locale. A single leading '+' is
-// allowed for strtod compatibility (from_chars rejects it).
-std::optional<double> ParseDoubleStrict(const std::string& s) {
-  if (s.empty()) return std::nullopt;
-  const size_t begin = s[0] == '+' ? 1 : 0;
-  if (begin == s.size()) return std::nullopt;
-  double v = 0.0;
-  const char* first = s.data() + begin;
-  const char* last = s.data() + s.size();
-  auto [end, ec] = std::from_chars(first, last, v);
-  if (ec != std::errc() || end != last) return std::nullopt;
-  return v;
 }
 
 bool LooksLikeDouble(const std::string& s) {

@@ -62,23 +62,24 @@ SessionServer::~SessionServer() { Stop(); }
 
 void SessionServer::Stop() {
   if (stop_.exchange(true)) return;
-  listener_.Close();
+  // Wake the accept thread, but release the descriptor only after it has
+  // exited: closing it under a thread still in Accept is a data race.
+  listener_.Shutdown();
   // Nudge every live connection so handlers parked in poll() wake now
-  // instead of at their next 250ms idle tick.
-  std::vector<std::shared_ptr<Socket>> socks;
+  // instead of at their next 250ms idle tick. Under mu_, because a
+  // handler closes its socket under mu_ as it leaves conns_.
   {
     MutexLock lock(&mu_);
-    socks.reserve(conns_.size());
-    for (auto& entry : conns_) socks.push_back(entry.second);
+    for (auto& entry : conns_) entry.second->ShutdownBoth();
   }
-  for (auto& sock : socks) sock->ShutdownBoth();
   accept_thread_.Join();
-  std::vector<DedicatedThread> handlers;
+  listener_.Close();
+  std::map<uint64_t, DedicatedThread> handlers;
   {
     MutexLock lock(&mu_);
     handlers.swap(handler_threads_);
   }
-  for (DedicatedThread& t : handlers) t.Join();
+  for (auto& entry : handlers) entry.second.Join();
   MutexLock lock(&mu_);
   sessions_.clear();
   conns_.clear();
@@ -98,6 +99,7 @@ SessionServer::Stats SessionServer::stats() const {
   MutexLock lock(&mu_);
   Stats out = stats_;
   out.sessions_open = sessions_.size();
+  out.handler_threads = handler_threads_.size();
   return out;
 }
 
@@ -120,6 +122,22 @@ void SessionServer::AcceptLoop() {
   while (!stop_.load(std::memory_order_acquire)) {
     Result<Socket> accepted = listener_.Accept(Deadline::AfterMillis(100));
     ReapExpiredLeases();
+    // Join the handlers of connections that ended since the last pass, so
+    // a long-running server holds one thread per LIVE connection.
+    std::vector<DedicatedThread> finished;
+    {
+      MutexLock lock(&mu_);
+      for (auto it = handler_threads_.begin();
+           it != handler_threads_.end();) {
+        if (conns_.count(it->first) == 0) {
+          finished.push_back(std::move(it->second));
+          it = handler_threads_.erase(it);
+        } else {
+          ++it;
+        }
+      }
+    }
+    for (DedicatedThread& t : finished) t.Join();
     if (stop_.load(std::memory_order_acquire)) break;
     if (!accepted.ok()) {
       if (accepted.status().IsDeadlineExceeded()) continue;
@@ -136,8 +154,10 @@ void SessionServer::AcceptLoop() {
     conns_[conn_id] = sock;
     ++stats_.connections;
     ORPHEUS_COUNTER_ADD("net.server.connections", 1);
-    handler_threads_.emplace_back(
-        "net.conn", [this, sock, conn_id] { HandleConnection(sock, conn_id); });
+    handler_threads_.emplace(
+        conn_id, DedicatedThread("net.conn", [this, sock, conn_id] {
+          HandleConnection(sock, conn_id);
+        }));
   }
 }
 
@@ -249,9 +269,9 @@ void SessionServer::HandleConnection(std::shared_ptr<Socket> sock,
     }
   }
 
-  sock->Close();
   MutexLock lock(&mu_);
   conns_.erase(conn_id);
+  sock->Close();
 }
 
 // ---------------------------------------------------------------------------

@@ -96,6 +96,7 @@ class SessionServer {
     uint64_t commits_resumed = 0;   // parked durability waits resumed
     uint64_t leases_expired = 0;
     uint64_t sessions_open = 0;
+    uint64_t handler_threads = 0;  // connection threads not yet joined
   };
   Stats stats() const;
 
@@ -185,7 +186,10 @@ class SessionServer {
   Stats stats_ ORPHEUS_GUARDED_BY(mu_);
 
   DedicatedThread accept_thread_;
-  std::vector<DedicatedThread> handler_threads_ ORPHEUS_GUARDED_BY(mu_);
+  // Connection id -> its handler thread. A handler whose id has left
+  // conns_ has finished; the accept loop joins and erases it.
+  std::map<uint64_t, DedicatedThread> handler_threads_
+      ORPHEUS_GUARDED_BY(mu_);
 };
 
 }  // namespace orpheus::net

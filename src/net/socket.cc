@@ -57,9 +57,10 @@ int PollTimeoutMillis(const Deadline& deadline) {
   return ms > INT_MAX ? INT_MAX : static_cast<int>(ms);
 }
 
-/// Wait for `events` on `fd` within the deadline.
+/// Wait for `events` on `fd` within the deadline; `*revents` (if given)
+/// receives what poll(2) reported.
 Status PollFor(int fd, short events, const Deadline& deadline,
-               const char* what) {
+               const char* what, short* revents = nullptr) {
   while (true) {
     if (deadline.expired()) {
       return Status::DeadlineExceeded(
@@ -70,6 +71,7 @@ Status PollFor(int fd, short events, const Deadline& deadline,
     pfd.events = events;
     pfd.revents = 0;
     const int n = ::poll(&pfd, 1, PollTimeoutMillis(deadline));
+    if (revents != nullptr) *revents = pfd.revents;
     if (n > 0) return Status::OK();
     if (n == 0) {
       return Status::DeadlineExceeded(
@@ -317,10 +319,12 @@ Listener& Listener::operator=(Listener&& other) noexcept {
   return *this;
 }
 
+void Listener::Shutdown() {
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
+}
+
 void Listener::Close() {
   if (fd_ >= 0) {
-    // shutdown() first so a thread parked in poll(fd_) wakes immediately.
-    ::shutdown(fd_, SHUT_RDWR);
     ::close(fd_);
     fd_ = -1;
   }
@@ -392,7 +396,14 @@ Result<Socket> Listener::Accept(const Deadline& deadline) {
       return sock;
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      ORPHEUS_RETURN_NOT_OK(PollFor(fd_, POLLIN, deadline, "accept"));
+      short revents = 0;
+      ORPHEUS_RETURN_NOT_OK(
+          PollFor(fd_, POLLIN, deadline, "accept", &revents));
+      // A shut-down unix listener polls as hung up while accept() keeps
+      // answering EAGAIN: fail now instead of spinning to the deadline.
+      if (revents & POLLHUP) {
+        return Status::Unavailable("accept on shut-down listener");
+      }
       continue;
     }
     if (errno == EINTR) continue;

@@ -88,13 +88,17 @@ class Listener {
   static Result<Listener> Listen(const std::string& address);
 
   /// Accept one connection (a Peer::kServer socket), waiting at most until
-  /// `deadline` (DeadlineExceeded makes a fine poll tick). After Close()
-  /// (from any thread) returns Unavailable.
+  /// `deadline` (DeadlineExceeded makes a fine poll tick). Fails after
+  /// Shutdown() or Close().
   Result<Socket> Accept(const Deadline& deadline);
 
   bool valid() const { return fd_ >= 0; }
   const std::string& address() const { return address_; }
 
+  /// Wake a thread parked in Accept (which then fails) without releasing
+  /// the descriptor, so it is safe while another thread still accepts.
+  void Shutdown();
+  /// Release the descriptor; no other thread may be using the listener.
   void Close();
 
  private:

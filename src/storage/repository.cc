@@ -248,11 +248,8 @@ Result<std::unique_ptr<Repository>> Repository::Open(const std::string& dir) {
               {"valid_bytes",
                static_cast<unsigned long long>(state.wal.valid_bytes)}});
   }
-  // The reopened writer keeps appending at the file's own format version;
-  // the first checkpoint rewrites everything at kFormatVersion.
   ORPHEUS_ASSIGN_OR_RETURN(
-      WalWriter wal, WalWriter::Open(state.wal_path, state.wal.valid_bytes,
-                                     state.wal.version));
+      WalWriter wal, WalWriter::Open(state.wal_path, state.wal.valid_bytes));
   ORPHEUS_COUNTER_ADD("storage.wal.replayed_records",
                       state.wal.records.size());
   LOG_INFO("repository opened",
@@ -300,10 +297,10 @@ Status Repository::AppendRecord(const WalRecord& record) {
   ORPHEUS_RETURN_NOT_OK(RequireHealthy());
   Status s = wal_->Append(record);
   if (!s.ok()) {
-    // Creates/drops are logged write-behind (the in-memory change already
-    // happened), so the log is now behind memory. Refuse further writes so
-    // the divergence cannot grow (the analog of RocksDB's background-error
-    // state).
+    // Creates/drops are logged before they are applied, so memory is not
+    // ahead of the log — but the file may now hold a torn tail and the
+    // writer's offset no longer matches it. Refuse further writes until
+    // reopen (the analog of RocksDB's background-error state).
     degraded_ = true;
     LOG_ERROR("WAL append failed; repository degraded",
               {{"dir", dir_}, {"error", s.message()}});
@@ -404,9 +401,11 @@ void Repository::LeadBatchLocked() {
     stats_.wal_bytes = wal_->offset();
   } else {
     // None of the batch is durable (a torn tail inside it is truncated on
-    // replay). The committers were applied in memory only AFTER their wait
-    // succeeds, so refusing here leaves no phantom versions — but the file
-    // position is unreliable, so degrade until reopen.
+    // replay). Plain LogCommit callers apply only after a successful wait;
+    // session committers already applied in memory, but their watermark
+    // advances only after the wait and they poison their manager on this
+    // error, so no reader sees a phantom version. The file position is
+    // unreliable either way, so degrade until reopen.
     degraded_ = true;
     if (failed_from_ticket_ == 0) failed_from_ticket_ = durable_ticket_ + 1;
     batch_error_ = s;

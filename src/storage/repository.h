@@ -23,13 +23,19 @@ namespace orpheus::storage {
 ///
 /// Open() reads CURRENT, loads the snapshot, replays the WAL (truncating a
 /// torn tail), validates every recovered CVD, and returns a Repository
-/// whose WAL is positioned for appending. Commits are logged write-AHEAD:
-/// Cvd::CommitTable hands the planned commit record to its observer (which
-/// lands here) before applying it in memory, so a failed append aborts the
-/// commit with no phantom in-memory version; the repository still enters
-/// degraded mode (no further logging is acknowledged — reopen to recover)
-/// because the WAL file may hold a torn tail. Checkpoint() folds the WAL
-/// into a fresh snapshot and starts a new epoch.
+/// whose WAL is positioned for appending. Creates, drops and plain
+/// (single-user) commits are logged before they are applied:
+/// Cvd::CommitTable hands the planned commit record to its observer, which
+/// lands in LogCommit and waits out the fsync, before applying it in
+/// memory, so a failed append aborts the commit with no phantom in-memory
+/// version. Session commits (DESIGN.md §13.3) are enqueued by the observer,
+/// applied in memory, then waited on outside the session commit lock; they
+/// stay invisible until durable because the session watermark advances
+/// only after the wait, and a failed batch poisons the session manager.
+/// Any failed append degrades the repository (no further logging is
+/// acknowledged — reopen to recover) because the WAL file may hold a torn
+/// tail. Checkpoint() folds the WAL into a fresh snapshot and starts a new
+/// epoch.
 ///
 /// Concurrent committers use group commit (DESIGN.md §13.3): EnqueueCommit
 /// queues the record and returns a ticket; WaitCommitDurable elects the

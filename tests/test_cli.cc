@@ -6,8 +6,10 @@
 
 #include "cli/command_processor.h"
 #include "core/access_control.h"
+#include "core/cvd.h"
 #include "common/string_util.h"
 #include "minidb/csv.h"
+#include "net/server.h"
 
 namespace orpheus::cli {
 namespace {
@@ -223,86 +225,137 @@ TEST_F(CliTest, CommitFromMissingCsvNamesThePath) {
   EXPECT_NE(s.message().find(path), std::string::npos) << s.ToString();
 }
 
-TEST_F(CliTest, SessionLifecycle) {
+// Replace row `row`'s pop in staging table `name` (columns _rid, city, pop).
+void SetPop(CommandProcessor* processor, const std::string& name, uint32_t row,
+            int64_t pop) {
+  Table* t = processor->staging()->GetTable(name);
+  ASSERT_NE(t, nullptr) << name;
+  auto values = t->GetRow(row);
+  values[2] = Value(pop);
+  t->SetRow(row, values);
+}
+
+// One session script: three sessions branch from v1; the first commit
+// lands, the second reconciles with it, the third conflicts. Returns the
+// transcript of every command's output.
+std::string RunSessionScript(CommandProcessor* processor) {
+  std::string transcript;
+  auto run = [&](const std::string& line) {
+    auto r = processor->Execute(line);
+    EXPECT_TRUE(r.ok()) << "'" << line << "': " << r.status().ToString();
+    transcript += "> " + line + "\n" + (r.ok() ? *r : "") + "\n";
+  };
+  run("session ls");
+  for (int i = 1; i <= 3; ++i) {
+    run("session open Cities");
+    run(StrFormat("session checkout %d -v 1 -t w%d", i, i));
+  }
+  SetPop(processor, "w1", 0, 31000);  // springfield
+  SetPop(processor, "w2", 1, 21000);  // shelbyville: disjoint edit
+  SetPop(processor, "w3", 0, 222);    // springfield again: a conflict
+  run("session commit 1 -t w1 -m grow1");
+  run("session commit 2 -t w2 -m grow2");
+  run("session commit 3 -t w3 -m clash");
+  run("session refresh 1");
+  run("session ls");
+  for (int i = 1; i <= 3; ++i) run(StrFormat("session close %d", i));
+  run("session ls");
+  return transcript;
+}
+
+TEST_F(CliTest, SessionScriptIsTransportIndependent) {
   SeedStagingTable("cities");
   Ok("init Cities -t cities -k city");
-  std::string out = Ok("session open Cities");
-  EXPECT_NE(out.find("session-managed"), std::string::npos) << out;
+  const std::string local = RunSessionScript(&processor_);
+  EXPECT_NE(local.find("reconciled with concurrent version 2 into merge "
+                       "version 4"),
+            std::string::npos)
+      << local;
+  EXPECT_NE(local.find("CONFLICT with concurrent version 4"),
+            std::string::npos)
+      << local;
+  EXPECT_NE(local.find("key=springfield attribute=pop base=30000 ours=222 "
+                       "theirs=31000"),
+            std::string::npos)
+      << local;
 
-  // While session-managed, the single-user commands must stand aside.
+  // The same script against an orpheusd server holding the same CVD.
+  core::Cvd::Options options;
+  options.primary_key = {"city"};
+  std::vector<std::unique_ptr<core::Cvd>> cvds;
+  cvds.push_back(core::Cvd::Init("Cities",
+                                 *processor_.staging()->GetTable("cities"),
+                                 options)
+                     .MoveValueOrDie());
+  net::ServerOptions server_options;
+  server_options.listen = "unix:" + MakeTempDir() + "/orpheusd.sock";
+  auto server =
+      net::SessionServer::Start(nullptr, std::move(cvds), server_options)
+          .MoveValueOrDie();
+  CommandProcessor client;
+  auto connected = client.Execute("session connect " + server->address());
+  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+  EXPECT_EQ(RunSessionScript(&client), local);
+
+  // The lease belongs to the remote transport only.
+  EXPECT_NE(Ok("session open Cities").find("opened session 4"),
+            std::string::npos);
+  EXPECT_NE(Ok("session heartbeat 4").find("in-process sessions have no lease"),
+            std::string::npos);
+  auto opened = client.Execute("session open Cities");
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  auto lease = client.Execute("session heartbeat 4");
+  ASSERT_TRUE(lease.ok()) << lease.status().ToString();
+  EXPECT_NE(lease->find("lease renewed"), std::string::npos) << *lease;
+  EXPECT_TRUE(
+      client.Execute("session disconnect").status().IsInvalidArgument());
+  ASSERT_TRUE(client.Execute("session close 4").ok());
+  ASSERT_TRUE(client.Execute("session disconnect").ok());
+}
+
+TEST_F(CliTest, InProcessSessionsHoldTheCvdUntilTheLastCloses) {
+  const std::string dir = MakeTempDir();
+  Ok("open " + dir);
+  SeedStagingTable("cities");
+  Ok("init Cities -t cities -k city");
+  Ok("session open Cities");
+  Ok("session open Cities");
+  EXPECT_NE(Ok("ls").find("session-managed"), std::string::npos);
+
+  // While sessions are open the single-user commands stand aside.
   Status plain = Err("checkout Cities -v 1 -t w");
   EXPECT_TRUE(plain.IsInvalidArgument()) << plain.ToString();
   EXPECT_NE(plain.message().find("open for concurrent use"), std::string::npos)
       << plain.ToString();
   EXPECT_TRUE(Err("drop Cities").IsInvalidArgument());
-  EXPECT_TRUE(Err("session open Cities").IsAlreadyExists());
-  EXPECT_NE(Ok("ls").find("session-managed"), std::string::npos);
+  for (const char* cmd : {"checkpoint", "close"}) {
+    Status s = Err(cmd);
+    EXPECT_TRUE(s.IsInvalidArgument()) << cmd << ": " << s.ToString();
+    EXPECT_NE(s.message().find("close them"), std::string::npos)
+        << s.ToString();
+  }
+  EXPECT_TRUE(Err("session connect unix:/nonexistent").IsInvalidArgument());
 
-  EXPECT_NE(Ok("session new Cities").find("opened session 1"),
+  Ok("session checkout 1 -v 1 -t w1");
+  SetPop(&processor_, "w1", 0, 31000);
+  EXPECT_NE(Ok("session commit 1 -t w1 -m grow").find("as version 2"),
             std::string::npos);
-  EXPECT_NE(Ok("session new Cities").find("opened session 2"),
-            std::string::npos);
-  Ok("session checkout Cities 1 -v 1 -t w1");
-  Ok("session checkout Cities 2 -v 1 -t w2");
+  Ok("session close 1");
+  EXPECT_TRUE(Err("checkout Cities -v 2 -t w").IsInvalidArgument());
+  Ok("session close 2");
 
-  // Disjoint edits: session 1 grows springfield, session 2 shelbyville.
-  // Session staging tables live inside each Session, not the shared
-  // staging database, so plain `run` SQL cannot reach another session's
-  // uncommitted work.
-  Table* w1 = processor_.session("Cities", 1)->table("w1");
-  ASSERT_NE(w1, nullptr);
-  w1->SetRow(0, {w1->GetRow(0)[0], Value("springfield"),
-                 Value(int64_t{31000})});
-  Table* w2 = processor_.session("Cities", 2)->table("w2");
-  ASSERT_NE(w2, nullptr);
-  w2->SetRow(1, {w2->GetRow(1)[0], Value("shelbyville"),
-                 Value(int64_t{21000})});
-
-  Ok("session commit Cities 1 -t w1 -m grow1");
-  std::string merged = Ok("session commit Cities 2 -t w2 -m grow2");
-  EXPECT_NE(merged.find("reconciled with concurrent version 2"),
-            std::string::npos)
-      << merged;
-  EXPECT_NE(merged.find("merge version 4"), std::string::npos) << merged;
-
-  EXPECT_NE(Ok("session ls").find("open session(s)"), std::string::npos);
-  out = Ok("session close Cities");
-  EXPECT_NE(out.find("2 session(s) closed"), std::string::npos) << out;
-  // The CVD is back under single-user control, merge history intact.
-  Ok("checkout Cities -v 4 -t merged");
-  Table* m = processor_.staging()->GetTable("merged");
-  ASSERT_NE(m, nullptr);
-  EXPECT_EQ(m->num_rows(), 2u);
-  EXPECT_TRUE(Err("session new Cities").IsNotFound());
+  // The last close hands the CVD back, its history intact and durable.
+  EXPECT_TRUE(Err("session checkout 1 -v 1 -t w").IsNotFound());
+  EXPECT_NE(Ok("diff Cities -v 2,1").find("31000"), std::string::npos);
+  Ok("checkout Cities -v 2 -t w");
+  Ok("commit -t w -m again");
+  Ok("close");
+  Ok("open " + dir);
+  EXPECT_EQ(processor_.cvd("Cities")->num_versions(), 3);
+  EXPECT_EQ(processor_.exit_code(), 0);
 }
 
-TEST_F(CliTest, SessionConflictRendering) {
-  SeedStagingTable("cities");
-  Ok("init Cities -t cities -k city");
-  Ok("session open Cities");
-  Ok("session new Cities");
-  Ok("session new Cities");
-  Ok("session checkout Cities 1 -v 1 -t w1");
-  Ok("session checkout Cities 2 -v 1 -t w2");
-  Table* w1 = processor_.session("Cities", 1)->table("w1");
-  ASSERT_NE(w1, nullptr);
-  w1->SetRow(0, {w1->GetRow(0)[0], Value("springfield"),
-                 Value(int64_t{111})});
-  Table* w2 = processor_.session("Cities", 2)->table("w2");
-  ASSERT_NE(w2, nullptr);
-  w2->SetRow(0, {w2->GetRow(0)[0], Value("springfield"),
-                 Value(int64_t{222})});
-  Ok("session commit Cities 1 -t w1 -m first");
-  std::string out = Ok("session commit Cities 2 -t w2 -m second");
-  EXPECT_NE(out.find("CONFLICT with concurrent version 2"), std::string::npos)
-      << out;
-  EXPECT_NE(out.find("divergent branch"), std::string::npos) << out;
-  EXPECT_NE(out.find("key=springfield attribute=pop"), std::string::npos)
-      << out;
-  Ok("session close Cities");
-}
-
-TEST_F(CliTest, SessionOpenGuards) {
+TEST_F(CliTest, SessionGuards) {
   SeedStagingTable("cities");
   Ok("init Cities -t cities -k city");
   EXPECT_TRUE(Err("session open Ghost").IsNotFound());
@@ -313,28 +366,54 @@ TEST_F(CliTest, SessionOpenGuards) {
   EXPECT_NE(staged.message().find("staged checkouts"), std::string::npos);
   Ok("commit -t pending -m flush");
   Ok("session open Cities");
-  EXPECT_TRUE(Err("session new Ghost").IsNotFound());
-  EXPECT_TRUE(Err("session checkout Cities 9 -v 1 -t w").IsNotFound());
-  EXPECT_TRUE(Err("session checkout Cities bogus -v 1 -t w")
-                  .IsInvalidArgument());
-  Ok("session close Cities");
+  EXPECT_TRUE(Err("session checkout 9 -v 1 -t w").IsNotFound());
+  EXPECT_TRUE(Err("session checkout bogus -v 1 -t w").IsInvalidArgument());
+  EXPECT_TRUE(Err("session commit 1 -t nothing -m x").IsNotFound());
+  EXPECT_TRUE(Err("session frobnicate 1").IsInvalidArgument());
+  Ok("session checkout 1 -v 1 -t w");
+  EXPECT_TRUE(Err("session checkout 1 -v 1 -t w").IsAlreadyExists());
+  // Closing drops the session's uncommitted checkouts with it.
+  Ok("session close 1");
+  EXPECT_EQ(processor_.staging()->GetTable("w"), nullptr);
 }
 
-TEST_F(CliTest, RepositoryLifecycleRefusedWhileSessionManaged) {
-  const std::string dir = MakeTempDir();
-  Ok("open " + dir);
+TEST_F(CliTest, SessionIdOutOfInt32RangeIsRefused) {
   SeedStagingTable("cities");
   Ok("init Cities -t cities -k city");
   Ok("session open Cities");
-  for (const char* cmd : {"checkpoint", "close"}) {
-    Status s = Err(cmd);
-    EXPECT_TRUE(s.IsInvalidArgument()) << cmd << ": " << s.ToString();
-    EXPECT_NE(s.message().find("session close"), std::string::npos)
-        << s.ToString();
-  }
-  Ok("session close Cities");
-  Ok("close");
-  EXPECT_EQ(processor_.exit_code(), 0);
+  // 2^32 + 1 used to wrap to session 1.
+  Status s = Err("session refresh 4294967297");
+  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+}
+
+TEST_F(CliTest, VersionIdOutOfInt32RangeIsRefused) {
+  SeedStagingTable("cities");
+  Ok("init Cities -t cities -k city");
+  // 2^32 + 1 used to wrap to version 1.
+  Status s = Err("checkout Cities -v 4294967297 -t t");
+  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+  EXPECT_EQ(processor_.staging()->GetTable("t"), nullptr);
+}
+
+TEST_F(CliTest, OptimizeFactorWithTrailingJunkIsRefused) {
+  SeedStagingTable("cities");
+  Ok("init Cities -t cities -k city");
+  EXPECT_TRUE(Err("optimize Cities -g 3x").IsInvalidArgument());
+}
+
+TEST_F(CliTest, OptimizeFactorNanIsRefused) {
+  SeedStagingTable("cities");
+  Ok("init Cities -t cities -k city");
+  EXPECT_TRUE(Err("optimize Cities -g nan").IsInvalidArgument());
+}
+
+TEST_F(CliTest, OptimizeFactorInfIsRefused) {
+  SeedStagingTable("cities");
+  Ok("init Cities -t cities -k city");
+  EXPECT_TRUE(Err("optimize Cities -g inf").IsInvalidArgument());
+  // A huge finite factor saturates the budget instead.
+  EXPECT_NE(Ok("optimize Cities -g 1e300").find("LyreSplit plan"),
+            std::string::npos);
 }
 
 TEST_F(CliTest, FsckSetsCorruptExitCode) {
@@ -346,9 +425,8 @@ TEST_F(CliTest, FsckSetsCorruptExitCode) {
   EXPECT_NE(Ok("fsck -d " + dir).find("ok"), std::string::npos);
   EXPECT_EQ(processor_.exit_code(), 0);
 
-  // Flip the active snapshot's format version byte: dual-read would
-  // otherwise accept the neighbouring version, so the header checksum must
-  // catch it.
+  // Flip the active snapshot's format version byte (3 -> 2): the reader
+  // refuses any version but 3, and fsck reports it as corruption.
   std::ifstream current(dir + "/CURRENT");
   std::string snapshot_name;
   ASSERT_TRUE(std::getline(current, snapshot_name));

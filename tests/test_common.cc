@@ -185,6 +185,22 @@ TEST(ParseIntStrictTest, AcceptsOnlyCleanIntegers) {
   EXPECT_FALSE(ParseIntStrict("9223372036854775808").has_value());
 }
 
+TEST(ParseDoubleStrictTest, AcceptsOnlyCleanFiniteNumbers) {
+  EXPECT_EQ(ParseDoubleStrict("2"), 2.0);
+  EXPECT_EQ(ParseDoubleStrict("+1.5"), 1.5);
+  EXPECT_EQ(ParseDoubleStrict("-0.25"), -0.25);
+  EXPECT_EQ(ParseDoubleStrict("1e3"), 1000.0);
+  EXPECT_FALSE(ParseDoubleStrict("").has_value());
+  EXPECT_FALSE(ParseDoubleStrict("3x").has_value());
+  EXPECT_FALSE(ParseDoubleStrict(" 3").has_value());
+  EXPECT_FALSE(ParseDoubleStrict("1,5").has_value());
+  EXPECT_FALSE(ParseDoubleStrict("nan").has_value());
+  EXPECT_FALSE(ParseDoubleStrict("inf").has_value());
+  EXPECT_FALSE(ParseDoubleStrict("-infinity").has_value());
+  // Out of double range is a failure, not a clamp to infinity.
+  EXPECT_FALSE(ParseDoubleStrict("1e400").has_value());
+}
+
 TEST(ParseEnvIntTest, FallsBackOnGarbageAndRange) {
   // Regression: ORPHEUS_THREADS="8abc" used to atoi() to 8 silently; any
   // malformed value now falls back to the default (with one warning).

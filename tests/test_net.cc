@@ -9,6 +9,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <set>
@@ -17,10 +18,12 @@
 #include <utility>
 #include <vector>
 
+#include "common/env.h"
 #include "common/failpoint.h"
 #include "common/log.h"
 #include "common/result.h"
 #include "common/status.h"
+#include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "common/validation.h"
@@ -39,6 +42,20 @@
 
 namespace orpheus::net {
 namespace {
+
+// Sanitizer runtimes reserve shadow memory per thread, so VmSize bounds
+// only hold in plain builds.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitizedBuild = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kSanitizedBuild = true;
+#else
+constexpr bool kSanitizedBuild = false;
+#endif
+#else
+constexpr bool kSanitizedBuild = false;
+#endif
 
 using core::VersionId;
 using minidb::Schema;
@@ -371,6 +388,57 @@ TEST_F(NetTest, LifecycleOverUnixSocket) {
 }
 
 TEST_F(NetTest, LifecycleOverLoopbackTcp) { RunLifecycle("tcp:0"); }
+
+// VmSize of this process in kB, read from /proc/self/status (0 if absent).
+int64_t VmSizeKb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) {
+      return ParseIntStrict(Trim(line.substr(7, line.size() - 7 - 3)))
+          .value_or(0);
+    }
+  }
+  return 0;
+}
+
+TEST_F(NetTest, FinishedConnectionThreadsAreJoined) {
+  // Each connection runs on its own handler thread; a server that only
+  // joined them at Stop() grew by one unjoined thread (and its stack) per
+  // connection ever made.
+  auto server = StartMemoryServer(ServerOptions{});
+  auto connect_and_ls = [&server] {
+    auto client = Client::Connect(server->address(), FastClientOptions(1));
+    ORPHEUS_CHECK_OK(client.status());
+    ORPHEUS_CHECK_OK(client.ValueOrDie()->Ls().status());
+    return client.MoveValueOrDie();
+  };
+  auto wait_for_handlers = [&server](uint64_t at_most) {
+    Timer waited;
+    while (server->stats().handler_threads > at_most &&
+           waited.ElapsedMillis() < 5000) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    return server->stats().handler_threads;
+  };
+  // Warm up with several connections at once, so the baseline already
+  // holds the allocator arenas and cached thread stacks that later
+  // sequential connections reuse; only a per-connection leak grows VmSize.
+  {
+    std::vector<std::unique_ptr<Client>> clients;
+    for (int i = 0; i < 8; ++i) clients.push_back(connect_and_ls());
+  }
+  EXPECT_EQ(wait_for_handlers(0), 0u);
+  const int64_t vm_before_kb = VmSizeKb();
+
+  for (int i = 0; i < 200; ++i) connect_and_ls();
+  EXPECT_LE(wait_for_handlers(1), 1u);
+  EXPECT_EQ(server->stats().connections, 208u);
+  if (!kSanitizedBuild) {
+    EXPECT_LT(VmSizeKb() - vm_before_kb, 64 * 1024)
+        << "VmSize grew from " << vm_before_kb << " kB";
+  }
+}
 
 TEST_F(NetTest, ListenerRejectsNonLoopbackTcp) {
   EXPECT_FALSE(Listener::Listen("tcp:8.8.8.8:1234").ok());

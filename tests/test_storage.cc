@@ -294,7 +294,7 @@ TEST(FormatTest, CvdStateRoundtripPreservesCheckouts) {
   EncodeCvdState(state, &enc);
   std::string data = enc.Take();
   Decoder dec(data);
-  auto decoded = DecodeCvdState(&dec, kFormatVersion);
+  auto decoded = DecodeCvdState(&dec);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_TRUE(dec.AtEnd());
   core::CvdState got = decoded.MoveValueOrDie();
@@ -322,7 +322,7 @@ TEST(FormatTest, CommitRecordRoundtripReplaysIdentically) {
   EncodeCommitRecord(captured, &enc);
   std::string data = enc.Take();
   Decoder dec(data);
-  auto decoded = DecodeCommitRecord(&dec, kFormatVersion);
+  auto decoded = DecodeCommitRecord(&dec);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_TRUE(dec.AtEnd());
   core::CvdCommitRecord got = decoded.MoveValueOrDie();
@@ -341,83 +341,42 @@ TEST(FormatTest, CommitRecordRoundtripReplaysIdentically) {
   EXPECT_EQ(CheckoutCsv(replayed.get(), {2}), CheckoutCsv(cvd.get(), {2}));
 }
 
-TEST(FormatTest, V2RepositoryStaysReadableAndAppendable) {
-  // Hand-build a format-v2 repository (double-typed logical clocks): a v2
-  // snapshot holding the CVD and an empty v2 WAL. Existing repositories
-  // written before the v3 bump must keep working end to end.
+TEST(FormatTest, V2RepositoryIsRefusedWithRemedy) {
+  // Hand-build a format-v2 repository the way v2 writers laid out their
+  // headers (version 2, header-crc word 0). Only v3 is readable: open and
+  // fsck must refuse it with an error naming the file, the version, and
+  // the remedy, before any payload is decoded.
   const std::string dir = MakeTempDir();
-  auto cvd = MakeCvdWithTwoVersions();
-  auto state = cvd->ExportState().MoveValueOrDie();
-  {
-    Encoder header;
-    header.PutU32(2);  // format version 2
-    header.PutU32(0);
-    header.PutU64(1);
-    std::string data(kSnapshotMagic, 8);
-    data.append(header.data());
-    Encoder enc;
-    EncodeCvdState(state, &enc, /*version=*/2);
-    AppendFrame(&data, FrameType::kCvdState, enc.data());
-    Encoder footer;
-    footer.PutU32(1);
-    AppendFrame(&data, FrameType::kFooter, footer.data());
-    ASSERT_TRUE(WriteFileAtomic(dir + "/snapshot-1", data, true).ok());
-  }
-  {
+  Goldens goldens;
+  ASSERT_NO_FATAL_FAILURE(BuildRepoWithTwoVersions(dir, &goldens));
+  auto rewrite_as_v2 = [&dir](const std::string& name) {
+    const std::string path = dir + "/" + name;
+    std::string data = ReadFileToString(path).MoveValueOrDie();
     Encoder header;
     header.PutU32(2);
     header.PutU32(0);
-    header.PutU64(1);
-    std::string data(kWalMagic, 8);
-    data.append(header.data());
-    ASSERT_TRUE(WriteFileAtomic(dir + "/wal-1", data, true).ok());
-  }
-  ASSERT_TRUE(WriteFileAtomic(dir + "/CURRENT", "snapshot-1\n", true).ok());
-
-  // Dual-read: fsck and open accept v2, and the converted clocks are exact.
-  ASSERT_TRUE(Repository::Fsck(dir).ok());
-  auto repo = Repository::Open(dir).MoveValueOrDie();
-  auto cvds = repo->TakeCvds();
-  ASSERT_EQ(cvds.size(), 1u);
-  core::Cvd* t = cvds[0].get();
-  EXPECT_EQ(t->num_versions(), 2);
-  EXPECT_EQ(t->version_metadata(2).commit_time,
-            cvd->version_metadata(2).commit_time);
-  EXPECT_EQ(CheckoutCsv(t, {1}), CheckoutCsv(cvd.get(), {1}));
-  EXPECT_EQ(CheckoutCsv(t, {2}), CheckoutCsv(cvd.get(), {2}));
-
-  // A writer reopened on the v2 WAL appends v2-encoded records so the file
-  // stays self-consistent.
-  Repository* raw = repo.get();
-  t->set_commit_observer([raw](const core::CvdCommitRecord& record) {
-    return raw->LogCommit("t", record);
-  });
-  auto v3 = t->CommitTable(V3Table(), {2}, "v3", "tester");
-  ASSERT_TRUE(v3.ok()) << v3.status().ToString();
-  const std::string golden3 = CheckoutCsv(t, {3});
-  repo.reset();
-
-  auto wal1 = ReadWal(dir + "/wal-1");
-  ASSERT_TRUE(wal1.ok()) << wal1.status().ToString();
-  EXPECT_EQ(wal1->version, 2u);
-  ASSERT_EQ(wal1->records.size(), 1u);
-
-  auto again = Repository::Open(dir).MoveValueOrDie();
-  auto cvds2 = again->TakeCvds();
-  ASSERT_EQ(cvds2.size(), 1u);
-  EXPECT_EQ(cvds2[0]->num_versions(), 3);
-  EXPECT_EQ(CheckoutCsv(cvds2[0].get(), {3}), golden3);
-
-  // The first checkpoint rewrites the whole epoch at the current version.
-  std::vector<const core::Cvd*> ptrs = {cvds2[0].get()};
-  ASSERT_TRUE(again->Checkpoint(ptrs).ok());
-  again.reset();
-  auto snap = ReadSnapshot(dir + "/snapshot-2");
-  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
-  EXPECT_EQ(snap->version, kFormatVersion);
-  auto wal2 = ReadWal(dir + "/wal-2");
-  ASSERT_TRUE(wal2.ok()) << wal2.status().ToString();
-  EXPECT_EQ(wal2->version, kFormatVersion);
+    data.replace(8, 8, header.data());
+    ASSERT_TRUE(WriteFileAtomic(path, data, /*sync=*/true).ok());
+  };
+  auto expect_refused = [&dir](const std::string& name) {
+    const Status opened = Repository::Open(dir).status();
+    const Status checked = Repository::Fsck(dir).status();
+    for (const Status& s : {opened, checked}) {
+      EXPECT_TRUE(s.IsDataLoss()) << s.ToString();
+      EXPECT_NE(s.message().find(dir + "/" + name), std::string::npos)
+          << s.ToString();
+      EXPECT_NE(s.message().find("format version 2"), std::string::npos)
+          << s.ToString();
+      EXPECT_NE(s.message().find("reads only v3"), std::string::npos)
+          << s.ToString();
+      EXPECT_NE(s.message().find("`checkpoint`"), std::string::npos)
+          << s.ToString();
+    }
+  };
+  rewrite_as_v2("wal-1");
+  expect_refused("wal-1");
+  rewrite_as_v2("snapshot-1");
+  expect_refused("snapshot-1");
 }
 
 // ---------------------------------------------------------------------------
@@ -709,8 +668,8 @@ TEST_F(StorageTest, SnapshotByteFlipSweep) {
     mutated[i] ^= 0x01;
     ASSERT_TRUE(WriteFileAtomic(snap, mutated, /*sync=*/false).ok());
     auto repo = Repository::Open(dir_);
-    // Every byte is covered: the formerly-reserved word now holds the
-    // header checksum, so even version/seq/checksum flips are caught.
+    // Every byte is covered: the header checksum word catches even
+    // version/seq/checksum flips.
     ASSERT_FALSE(repo.ok()) << "flip at byte " << i << " went undetected";
     EXPECT_TRUE(repo.status().IsDataLoss())
         << "byte " << i << ": " << repo.status().ToString();

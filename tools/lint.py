@@ -62,6 +62,12 @@ raw-file-write
     (common/file_util.h), which check errors and go through the failpoint
     sites the crash tests exercise. Reads (std::ifstream) stay allowed.
 
+raw-numeric-parse
+    std::strto* / std::sto* inside src/cli/. They accept trailing junk
+    ("3x" reads as 3), and a long narrowed to an int32 id wraps silently;
+    CLI numbers go through ParseIntStrict / ParseDoubleStrict
+    (common/env.h) with an explicit range check.
+
 ridset-decompress
     GetIntArray() / AsIntArray() inside src/ outside the RidSet
     infrastructure and the sanctioned legacy-fallback sites. These calls
@@ -129,6 +135,12 @@ RAW_FILE_WRITE = re.compile(
     r"|(?<![A-Za-z0-9_])(?:std::)?fopen\s*\(")
 RAW_FILE_WRITE_ALLOWED = ("src/common/file_util.cc", "src/common/log.cc")
 RAW_FILE_WRITE_ALLOWED_PREFIX = "src/storage/"
+
+# Lenient C numeric parsers in the CLI, which reads numbers from users.
+RAW_NUMERIC_PARSE = re.compile(
+    r"(?<![A-Za-z0-9_])(?:std::)?(?:strto(?:l|ll|ul|ull|f|d|ld|imax|umax)"
+    r"|sto(?:i|l|ll|ul|ull|f|d|ld))\s*\(")
+RAW_NUMERIC_PARSE_PREFIX = "src/cli/"
 
 # Decompression of versioning array cells. Allowed only where the plain
 # view is the point: the RidSet/Value/Column plumbing itself, the codec's
@@ -234,6 +246,12 @@ def lint_file(rel, violations):
                 (rel, lineno, "raw-file-write",
                  "raw ofstream/fopen write; use WriteFileAtomic or "
                  "FileWriter (common/file_util.h)"))
+        if (rel.startswith(RAW_NUMERIC_PARSE_PREFIX)
+                and RAW_NUMERIC_PARSE.search(line)):
+            violations.append(
+                (rel, lineno, "raw-numeric-parse",
+                 "lenient strto*/sto* parse; use ParseIntStrict / "
+                 "ParseDoubleStrict (common/env.h) and check the range"))
         if (rel.startswith("src/") and rel not in RIDSET_DECOMPRESS_ALLOWED
                 and RIDSET_DECOMPRESS.search(line)):
             violations.append(
